@@ -1249,7 +1249,7 @@ func (cs *MSSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*en
 	}
 	user := cs.pool.user
 	db := cs.pool.currentDB()
-	text := st.SQL() // lint:rawsql-ok process-local query-cache key; never crosses a replica boundary
+	key := qcache.KeyOf(st.(*sqlparse.Select)) // CacheableRead admits only SELECTs
 	minPos := cs.ms.cacheMinPos(cs.cons, cs.readFloor())
 	if relaxed {
 		minPos = 0
@@ -1263,7 +1263,7 @@ func (cs *MSSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*en
 	}
 	// The cache probe runs BEFORE admission: a hit consumes no backend
 	// capacity, so it must not consume (or be rejected for) a slot either.
-	if res, posHi, ok := qc.GetPos(user, db, text, args, minPos); ok {
+	if res, posHi, ok := qc.GetPos(user, db, key, args, minPos); ok {
 		cs.bumpReadSeq(posHi)
 		return res, nil
 	}
@@ -1271,14 +1271,14 @@ func (cs *MSSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*en
 	if err != nil {
 		return nil, err
 	}
-	res, err := cs.execReadCacheFill(st, args, deadline, relaxed, qc, user, db, text)
+	res, err := cs.execReadCacheFill(st, args, deadline, relaxed, qc, user, db, key)
 	slot.Done(err)
 	return res, err
 }
 
 // execReadCacheFill routes a cache-miss read and fills the cache with the
 // result, tagged with the serving replica's applied position.
-func (cs *MSSession) execReadCacheFill(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time, relaxed bool, qc *qcache.Scope, user, db, text string) (*engine.Result, error) {
+func (cs *MSSession) execReadCacheFill(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time, relaxed bool, qc *qcache.Scope, user, db string, key *qcache.StmtKey) (*engine.Result, error) {
 	target, err := cs.routeRead(relaxed)
 	if err != nil {
 		return nil, err
@@ -1294,7 +1294,7 @@ func (cs *MSSession) execReadCacheFill(st sqlparse.Statement, args []sqltypes.Va
 	}
 	posHi := cs.ms.readPos(target)
 	cs.bumpReadSeq(posHi)
-	qc.PutAt(user, db, text, args, st.Tables(), pos, posHi, res)
+	qc.PutAt(user, db, key, args, pos, posHi, res)
 	return res, nil
 }
 

@@ -518,14 +518,14 @@ func (s *MMSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*eng
 	}
 	user := s.user
 	db := s.db
-	text := st.SQL() // lint:rawsql-ok process-local query-cache key; never crosses a replica boundary
+	key := qcache.KeyOf(st.(*sqlparse.Select)) // CacheableRead admits only SELECTs
 	minPos := s.mm.cacheMinPos(s.cons, s.readFloor())
 	if relaxed {
 		minPos = 0 // shedding: any cached result beats queueing for a slot
 	}
 	// Probe the cache BEFORE admission: hits cost no slot, so under
 	// overload the cache keeps absorbing read traffic at full speed.
-	if res, posHi, ok := qc.GetPos(user, db, text, args, minPos); ok {
+	if res, posHi, ok := qc.GetPos(user, db, key, args, minPos); ok {
 		s.bumpReadSeq(posHi)
 		return res, nil
 	}
@@ -533,13 +533,13 @@ func (s *MMSession) execRead(st sqlparse.Statement, args []sqltypes.Value) (*eng
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.execReadCacheFill(st, args, deadline, relaxed, qc, user, db, text)
+	res, err := s.execReadCacheFill(st, args, deadline, relaxed, qc, user, db, key)
 	slot.Done(err)
 	return res, err
 }
 
 // execReadCacheFill routes a cache-miss read and installs the result.
-func (s *MMSession) execReadCacheFill(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time, relaxed bool, qc *qcache.Scope, user, db, text string) (*engine.Result, error) {
+func (s *MMSession) execReadCacheFill(st sqlparse.Statement, args []sqltypes.Value, deadline time.Time, relaxed bool, qc *qcache.Scope, user, db string, key *qcache.StmtKey) (*engine.Result, error) {
 	target, err := s.routeRead(relaxed)
 	if err != nil {
 		return nil, err
@@ -555,7 +555,7 @@ func (s *MMSession) execReadCacheFill(st sqlparse.Statement, args []sqltypes.Val
 	}
 	posHi := sampleApplied(target)
 	s.bumpReadSeq(posHi)
-	qc.PutAt(user, db, text, args, st.Tables(), pos, posHi, res)
+	qc.PutAt(user, db, key, args, pos, posHi, res)
 	return res, nil
 }
 

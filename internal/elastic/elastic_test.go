@@ -135,13 +135,26 @@ func (a *ackSet) snapshot() map[int]bool {
 	return out
 }
 
-// auditCluster collects every kv row from every partition master and fails
-// on duplicates (double-applied writes) or missing acknowledged keys (lost
+// auditCluster collects every kv row from every partition and fails on
+// duplicates (double-applied writes) or missing acknowledged keys (lost
 // writes).
 func auditCluster(t *testing.T, pc *core.Partitioned, acked map[int]bool) {
 	t.Helper()
 	seen := make(map[int]int)
 	rt := pc.RouteTable()
+	// The reads go through fresh sessions, which a lagging slave may serve:
+	// wait until every slave has applied its master's head, so each
+	// acknowledged write is visible to the audit.
+	waitFor(t, 10*time.Second, func() bool {
+		for _, p := range rt.Partitions() {
+			for _, lag := range p.SlaveLag() {
+				if lag > 0 {
+					return false
+				}
+			}
+		}
+		return true
+	})
 	for pi, p := range rt.Partitions() {
 		sess := p.NewSession("audit")
 		if _, err := sess.Exec("USE app"); err != nil {
@@ -372,14 +385,27 @@ func TestMigrationResumesAcrossSourceFailover(t *testing.T) {
 		TailBatch: 64, TailDelay: 2 * time.Millisecond, CatchupThreshold: 2,
 		CatchupTimeout: 30 * time.Second,
 	})
+	// Kill the source master mid-tail, at the start of the first streaming
+	// round (after the clone, before the catch-up check can end the
+	// stream), and hold the round until the monitor has promoted a slave,
+	// so the round resumes on the new lineage. The blocked writers resume
+	// through it too.
+	killed := false
+	r.beforeTailRound = func() {
+		if killed {
+			return
+		}
+		killed = true
+		old := src.Master()
+		old.Fail()
+		// Runs on the migration's goroutine, so no t.Fatal here: a
+		// promotion that never comes shows as resumed = 0 below.
+		for deadline := time.Now().Add(5 * time.Second); src.Master() == old && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	done := make(chan error, 1)
 	go func() { done <- r.Split(0, dest) }()
-
-	// Let the stream start, then kill the source master mid-tail. The
-	// monitor promotes a slave and the blocked writers resume through it.
-	waitFor(t, 5*time.Second, func() bool { return r.Migrating() && r.Clones() == 1 })
-	time.Sleep(5 * time.Millisecond)
-	src.Master().Fail()
 
 	time.Sleep(20 * time.Millisecond)
 	close(stop)

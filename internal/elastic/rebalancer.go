@@ -87,6 +87,10 @@ type Rebalancer struct {
 	resumed   atomic.Uint64
 	clones    atomic.Uint64
 	moved     atomic.Uint64
+
+	// beforeTailRound, when set, runs at the start of every tail-streaming
+	// round: a test hook for injecting faults at a known point mid-tail.
+	beforeTailRound func()
 }
 
 // NewRebalancer builds a rebalancer for the cluster.
@@ -227,6 +231,9 @@ func (r *Rebalancer) migrate(buckets []int, dest *core.MasterSlave, dropEmpty bo
 	for {
 		if r.cfg.TailDelay > 0 {
 			time.Sleep(r.cfg.TailDelay)
+		}
+		if r.beforeTailRound != nil {
+			r.beforeTailRound()
 		}
 		if now := src.Master().Name(); now != lastMaster {
 			lastMaster = now

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
+	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 )
 
@@ -210,30 +211,82 @@ type Scope struct {
 	allSeq   uint64
 }
 
-// key builds the cache key. The statement text is the normalized rendering
-// of the parsed AST, so textual variants of one statement share an entry.
-// The user is part of the key: an entry is only ever served to the user
-// whose own (authorized) backend execution produced it, so a cache hit can
-// never bypass the engine's access checks — grants are only ever added, so
-// fill-time authorization stays valid for the entry's lifetime.
-func (s *Scope) key(epoch uint64, user, db, stmt string, binds []sqltypes.Value) string {
-	var b strings.Builder
-	b.Grow(len(user) + len(db) + len(stmt) + 32)
-	b.WriteString("s")
-	b.WriteString(strconv.FormatUint(s.id, 10))
-	b.WriteString(".e")
-	b.WriteString(strconv.FormatUint(epoch, 10))
-	b.WriteString("|")
-	b.WriteString(user)
-	b.WriteString("|")
-	b.WriteString(strings.ToLower(db))
-	b.WriteString("|")
-	b.WriteString(stmt)
-	for _, v := range binds {
-		b.WriteString("|")
-		b.WriteString(v.String())
+// StmtKey is a read statement's cache-key material: its normalized text
+// and the tables it reads. KeyOf derives it once per parsed statement, so a
+// probe neither re-renders the statement nor re-derives its tables.
+type StmtKey struct {
+	text   string
+	tables []string
+	// qual memoizes tables qualified with the last session database asked
+	// for; sessions of one deployment almost always share one.
+	qual atomic.Pointer[qualified]
+}
+
+type qualified struct {
+	db          string
+	tables, dbs []string
+}
+
+// newStmtKey builds key material from statement text and the tables the
+// statement reads (unqualified names resolve against the session database).
+func newStmtKey(text string, tables []string) *StmtKey {
+	return &StmtKey{text: text, tables: tables}
+}
+
+// KeyOf returns sel's key material, derived once per parsed statement. The
+// text is the normalized rendering of the AST, so textual variants of one
+// statement share entries.
+func KeyOf(sel *sqlparse.Select) *StmtKey {
+	return sqlparse.Memo(sel, func(s *sqlparse.Select) *StmtKey {
+		return newStmtKey(s.SQL(), s.Tables())
+	})
+}
+
+// qualify returns the key's tables lowercased and qualified with db, and
+// their distinct databases.
+func (k *StmtKey) qualify(db string) *qualified {
+	if q := k.qual.Load(); q != nil && q.db == db {
+		return q
 	}
-	return b.String()
+	q := &qualified{db: db, tables: qualifyTables(db, k.tables)}
+	q.dbs = distinctDBs(q.tables)
+	k.qual.Store(q)
+	return q
+}
+
+// keyBufs recycles probe-key buffers, so a lookup builds its key without
+// allocating.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+// appendKey appends the cache key to b. The user is part of the key: an
+// entry is only ever served to the user whose own (authorized) backend
+// execution produced it, so a cache hit can never bypass the engine's
+// access checks — grants are only ever added, so fill-time authorization
+// stays valid for the entry's lifetime.
+func (s *Scope) appendKey(b []byte, epoch uint64, user, db string, k *StmtKey, binds []sqltypes.Value) []byte {
+	b = append(b, 's')
+	b = strconv.AppendUint(b, s.id, 10)
+	b = append(b, ".e"...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, '|')
+	b = append(b, user...)
+	b = append(b, '|')
+	// Lowercase db in place: strings.ToLower would allocate on every
+	// probe of a session whose database name has upper case.
+	for i := 0; i < len(db); i++ {
+		c := db[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	b = append(b, '|')
+	b = append(b, k.text...)
+	for _, v := range binds {
+		b = append(b, '|')
+		b = v.AppendSQL(b)
+	}
+	return b
 }
 
 // staleLocked reports whether an entry at pos with the given tables/dbs has
@@ -255,45 +308,51 @@ func (s *Scope) staleLocked(pos uint64, tables, dbs []string) bool {
 	return false
 }
 
-// Get looks up a cached result for the given user. minPos is the lowest
-// replication position the caller's read guarantee accepts: entries
-// produced before it are misses. The returned result is shared and must be
-// treated as immutable.
+// Get looks up a cached result for the given user by statement text. It is
+// GetPos for callers without a parsed statement.
 func (s *Scope) Get(user, db, stmt string, binds []sqltypes.Value, minPos uint64) (*engine.Result, bool) {
-	res, _, ok := s.GetPos(user, db, stmt, binds, minPos)
+	res, _, ok := s.GetPos(user, db, newStmtKey(stmt, nil), binds, minPos)
 	return res, ok
 }
 
-// GetPos is Get, additionally returning the upper bound on the replication
-// position the cached result reflects (the serving replica's applied
-// position right after the fill read). Sessions that guarantee monotonic
-// reads advance their read floor to it.
-func (s *Scope) GetPos(user, db, stmt string, binds []sqltypes.Value, minPos uint64) (*engine.Result, uint64, bool) {
+// GetPos looks up a cached result for the given user. minPos is the lowest
+// replication position the caller's read guarantee accepts: entries
+// produced before it are misses. It also returns the upper bound on the
+// replication position the cached result reflects (the serving replica's
+// applied position right after the fill read); sessions that guarantee
+// monotonic reads advance their read floor to it. The returned result is
+// shared and must be treated as immutable. A lookup does not allocate.
+func (s *Scope) GetPos(user, db string, k *StmtKey, binds []sqltypes.Value, minPos uint64) (*engine.Result, uint64, bool) {
 	s.mu.RLock()
 	epoch := s.epoch
 	s.mu.RUnlock()
-	key := s.key(epoch, user, db, stmt, binds)
+	bp := keyBufs.Get().(*[]byte)
+	b := s.appendKey((*bp)[:0], epoch, user, db, k, binds)
 	c := s.c
-	sh := &c.shards[sqltypes.HashString(key)&c.mask]
+	sh := &c.shards[sqltypes.HashBytes(b)&c.mask]
 
 	sh.mu.Lock()
-	el, ok := sh.entries[key]
+	el, ok := sh.entries[string(b)]
+	var e *qentry
+	if ok {
+		e = el.Value.(*qentry)
+	}
+	sh.mu.Unlock()
+	*bp = b
+	keyBufs.Put(bp)
 	if !ok {
-		sh.mu.Unlock()
 		c.misses.Inc()
 		return nil, 0, false
 	}
-	e := el.Value.(*qentry)
-	sh.mu.Unlock()
 
 	s.mu.RLock()
 	stale := s.staleLocked(e.pos, e.tables, e.dbs)
 	s.mu.RUnlock()
 	if stale {
 		sh.mu.Lock()
-		if cur, ok := sh.entries[key]; ok && cur == el {
+		if cur, ok := sh.entries[e.key]; ok && cur == el {
 			sh.lru.Remove(el)
-			delete(sh.entries, key)
+			delete(sh.entries, e.key)
 			c.invalEntries.Inc()
 		}
 		sh.mu.Unlock()
@@ -308,7 +367,7 @@ func (s *Scope) GetPos(user, db, stmt string, binds []sqltypes.Value, minPos uin
 		return nil, 0, false
 	}
 	sh.mu.Lock()
-	if cur, ok := sh.entries[key]; ok && cur == el {
+	if cur, ok := sh.entries[e.key]; ok && cur == el {
 		sh.lru.MoveToFront(el)
 	}
 	sh.mu.Unlock()
@@ -317,19 +376,20 @@ func (s *Scope) GetPos(user, db, stmt string, binds []sqltypes.Value, minPos uin
 }
 
 // Put inserts a result the given user's session produced at replication
-// position pos from the given db-qualified tables. The insert is refused
-// when the result is too large or when a concurrent invalidation has
-// already outpaced pos (fill race).
+// position pos from the given tables, by statement text. It is PutAt for
+// callers without a parsed statement.
 func (s *Scope) Put(user, db, stmt string, binds []sqltypes.Value, tables []string, pos uint64, res *engine.Result) {
-	s.PutAt(user, db, stmt, binds, tables, pos, pos, res)
+	s.PutAt(user, db, newStmtKey(stmt, tables), binds, pos, pos, res)
 }
 
-// PutAt is Put with the freshness bounds split: pos is the sound lower
-// bound used for invalidation and minimum-position checks (the replica's
-// applied position BEFORE the fill read), posHi the upper bound on the
-// state the result can reflect (applied position AFTER it), handed back by
-// GetPos for monotonic-read floors.
-func (s *Scope) PutAt(user, db, stmt string, binds []sqltypes.Value, tables []string, pos, posHi uint64, res *engine.Result) {
+// PutAt inserts a result the given user's session produced. pos is the
+// sound lower bound on its freshness, used for invalidation and
+// minimum-position checks (the replica's applied position BEFORE the fill
+// read); posHi the upper bound on the state the result can reflect
+// (applied position AFTER it), handed back by GetPos for monotonic-read
+// floors. The insert is refused when the result is too large or when a
+// concurrent invalidation has already outpaced pos (fill race).
+func (s *Scope) PutAt(user, db string, k *StmtKey, binds []sqltypes.Value, pos, posHi uint64, res *engine.Result) {
 	c := s.c
 	if res == nil || len(res.Rows) > c.maxRows {
 		c.rejectedPuts.Inc()
@@ -338,19 +398,22 @@ func (s *Scope) PutAt(user, db, stmt string, binds []sqltypes.Value, tables []st
 	if posHi < pos {
 		posHi = pos
 	}
-	qt := qualifyTables(db, tables)
-	dbs := distinctDBs(qt)
+	q := k.qualify(db)
 
 	s.mu.RLock()
 	epoch := s.epoch
-	stale := s.staleLocked(pos, qt, dbs)
+	stale := s.staleLocked(pos, q.tables, q.dbs)
 	s.mu.RUnlock()
 	if stale {
 		c.rejectedPuts.Inc()
 		return
 	}
-	key := s.key(epoch, user, db, stmt, binds)
-	e := &qentry{key: key, tables: qt, dbs: dbs, pos: pos, posHi: posHi, res: res}
+	bp := keyBufs.Get().(*[]byte)
+	b := s.appendKey((*bp)[:0], epoch, user, db, k, binds)
+	key := string(b)
+	*bp = b
+	keyBufs.Put(bp)
+	e := &qentry{key: key, tables: q.tables, dbs: q.dbs, pos: pos, posHi: posHi, res: res}
 
 	sh := &c.shards[sqltypes.HashString(key)&c.mask]
 	sh.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/sqlparse"
 	"repro/internal/sqltypes"
 )
 
@@ -251,5 +252,29 @@ func TestUsersDoNotShareEntries(t *testing.T) {
 	}
 	if _, ok := s.Get("alice", "shop", "q", nil, 0); !ok {
 		t.Fatal("alice's own entry did not serve")
+	}
+}
+
+// TestKeyOfFollowsRewrites: the memoized key of a parsed statement is not
+// reused for a rewritten copy (the partitioned router's LIMIT-stripped
+// scatter copy), so the copy can never be served the original's entry.
+func TestKeyOfFollowsRewrites(t *testing.T) {
+	s := New(Config{}).NewScope()
+	st, err := sqlparse.Parse("SELECT v FROM kv WHERE k = 1 LIMIT 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := st.(*sqlparse.Select)
+	s.PutAt("u", "app", KeyOf(sel), nil, 5, 5, res(1))
+	if _, _, ok := s.GetPos("u", "app", KeyOf(sel), nil, 0); !ok {
+		t.Fatal("original statement missed its own entry")
+	}
+	scatter := *sel
+	scatter.Limit = -1
+	if _, _, ok := s.GetPos("u", "app", KeyOf(&scatter), nil, 0); ok {
+		t.Fatal("rewritten copy was served the original's entry")
+	}
+	if got := KeyOf(sel).qualify("App").tables; len(got) != 1 || got[0] != "app.kv" {
+		t.Fatalf("qualified tables = %v, want [app.kv]", got)
 	}
 }

@@ -153,6 +153,8 @@ type Select struct {
 	ForUpdate bool
 	Distinct  bool
 	NoTable   bool // SELECT expr with no FROM
+
+	memo *memoSlot // values derived from this node; see Memo
 }
 
 // SelectItem is one projection of a SELECT: either * or an expression with an

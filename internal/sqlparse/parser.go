@@ -863,7 +863,7 @@ func (p *parser) parseSelect() (*Select, error) {
 	if err := p.advance(); err != nil { // consume SELECT
 		return nil, err
 	}
-	sel := &Select{Limit: -1}
+	sel := &Select{Limit: -1, memo: &memoSlot{}}
 	if ok, err := p.accept("DISTINCT"); err != nil {
 		return nil, err
 	} else if ok {

@@ -169,6 +169,33 @@ func (v Value) String() string {
 	return v.Str()
 }
 
+// AppendSQL appends the String rendering of v to b without allocating
+// (except for timestamps).
+func (v Value) AppendSQL(b []byte) []byte {
+	switch v.K {
+	case KindString:
+		b = append(b, '\'')
+		for i := 0; i < len(v.S); i++ {
+			if v.S[i] == '\'' {
+				b = append(b, '\'')
+			}
+			b = append(b, v.S[i])
+		}
+		return append(b, '\'')
+	case KindInt:
+		return strconv.AppendInt(b, v.I, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	case KindBool:
+		return strconv.AppendBool(b, v.B)
+	case KindTime:
+		b = append(b, "TIMESTAMP '"...)
+		b = append(b, v.Str()...)
+		return append(b, '\'')
+	}
+	return append(b, "NULL"...)
+}
+
 // numericKind reports whether k participates in numeric coercion.
 func numericKind(k Kind) bool {
 	return k == KindInt || k == KindFloat || k == KindBool || k == KindTime
@@ -314,6 +341,16 @@ func HashValue(v Value) uint64 {
 // statement cache uses it for shard selection.
 func HashString(s string) uint64 {
 	return fnvString(fnvOffset64, s)
+}
+
+// HashBytes is HashString over a byte slice: HashBytes(b) ==
+// HashString(string(b)).
+func HashBytes(b []byte) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
 }
 
 func fnvString(h uint64, s string) uint64 {

@@ -242,3 +242,20 @@ func TestCompareTotalOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendSQLMatchesString: the allocation-free rendering used for query
+// cache keys is String's rendering, byte for byte.
+func TestAppendSQLMatchesString(t *testing.T) {
+	for _, v := range []Value{
+		{}, NewInt(0), NewInt(-42), NewInt(1 << 40), NewFloat(3.25), NewFloat(-1e300),
+		NewBool(true), NewBool(false), NewString(""), NewString("it's 'quoted'"),
+		NewTime(time.Unix(1700000000, 123456789)),
+	} {
+		if got, want := string(v.AppendSQL([]byte("x"))), "x"+v.String(); got != want {
+			t.Errorf("AppendSQL(%v) = %q, want %q", v, got, want)
+		}
+	}
+	if got, want := HashBytes([]byte("abc")), HashString("abc"); got != want {
+		t.Errorf("HashBytes = %d, HashString = %d", got, want)
+	}
+}

@@ -60,9 +60,9 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds max frame size")
 // varints, string lengths overrunning the payload, unknown value kinds.
 var ErrFrameCorrupt = errors.New("wire: corrupt frame")
 
-// ErrProtocolDesync reports a response whose request id matches nothing in
-// flight — the framing survived but the id stream did not. Soak tests
-// assert this never happens.
+// ErrProtocolDesync reports a response whose request id is not the oldest
+// one in flight (responses arrive in request order) — the framing survived
+// but the id stream did not. Soak tests assert this never happens.
 var ErrProtocolDesync = errors.New("wire: protocol desync")
 
 // errHandshakeRejected means the server did not accept the binary hello —
@@ -70,50 +70,75 @@ var ErrProtocolDesync = errors.New("wire: protocol desync")
 // hung up) or speaks no common version. ProtocolAuto clients redial in gob.
 var errHandshakeRejected = errors.New("wire: binary handshake rejected")
 
-// frameWriter assembles frames into a reused buffer and writes each through
-// a buffered writer, so one frame is at most one syscall and pipelined
-// bursts can share a single flush.
+// appendFrame appends one frame to dst: the header, then whatever encode
+// (nil for an empty payload) appends as the payload. It is the one frame
+// encoder of both ends. A payload over MaxFrameSize leaves dst as it was and
+// returns ErrFrameTooLarge, so the stream stays in sync.
+func appendFrame(dst []byte, op, flags byte, id uint32, encode func([]byte) []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	if encode != nil {
+		dst = encode(dst)
+	}
+	payload := len(dst) - start - frameHeaderLen
+	if payload > MaxFrameSize {
+		return dst[:start], fmt.Errorf("%w: %d byte payload (max %d)", ErrFrameTooLarge, payload, MaxFrameSize)
+	}
+	h := dst[start:]
+	binary.LittleEndian.PutUint32(h[0:4], uint32(payload))
+	h[4] = op
+	h[5] = flags
+	binary.LittleEndian.PutUint32(h[6:10], id)
+	return dst, nil
+}
+
+// recycle empties a written frame buffer for reuse, dropping it instead
+// when a rare huge frame grew it past maxRetainedBuf.
+func recycle(b []byte) []byte {
+	if cap(b) > maxRetainedBuf {
+		return nil
+	}
+	return b[:0]
+}
+
+// frameWriter appends frames to a reused buffer; flush writes everything
+// appended since the last flush in one Write, so a burst of frames shares
+// one syscall.
 type frameWriter struct {
-	bw  *bufio.Writer
+	w   io.Writer
 	buf []byte
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
-	return &frameWriter{bw: bufio.NewWriter(w)}
+	return &frameWriter{w: w}
 }
 
-// writeFrame encodes one frame: encode appends the payload after the
-// reserved header bytes and returns the extended slice, so header, payload
-// and buffered write share one allocation-free path.
 func (fw *frameWriter) writeFrame(op, flags byte, id uint32, encode func([]byte) []byte) error {
-	if cap(fw.buf) < frameHeaderLen {
-		fw.buf = make([]byte, frameHeaderLen, 512)
-	}
-	b := encode(fw.buf[:frameHeaderLen])
-	fw.buf = b
-	payload := len(b) - frameHeaderLen
-	if payload > MaxFrameSize {
-		fw.buf = nil // don't pin an oversized buffer for the conn's lifetime
-		return fmt.Errorf("%w: %d byte payload (max %d)", ErrFrameTooLarge, payload, MaxFrameSize)
-	}
-	binary.LittleEndian.PutUint32(b[0:4], uint32(payload))
-	b[4] = op
-	b[5] = flags
-	binary.LittleEndian.PutUint32(b[6:10], id)
-	_, err := fw.bw.Write(b)
+	var err error
+	fw.buf, err = appendFrame(fw.buf, op, flags, id, encode)
 	return err
 }
 
-func (fw *frameWriter) flush() error { return fw.bw.Flush() }
+func (fw *frameWriter) flush() error {
+	if len(fw.buf) == 0 {
+		return nil
+	}
+	_, err := fw.w.Write(fw.buf)
+	fw.buf = recycle(fw.buf)
+	return err
+}
 
 // frameReader reads frames, reusing one payload buffer across calls: the
 // returned payload aliases that buffer and is valid only until the next
 // readFrame — decoders copy what they keep (strings), so no payload bytes
-// escape.
+// escape. torn reports whether the last failed readFrame consumed part of
+// a frame (framing is then lost); a failure with torn false happened on a
+// frame boundary.
 type frameReader struct {
-	br  *bufio.Reader
-	hdr [frameHeaderLen]byte
-	buf []byte
+	br   *bufio.Reader
+	hdr  [frameHeaderLen]byte
+	buf  []byte
+	torn bool
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -128,9 +153,12 @@ func newFrameReader(r io.Reader) *frameReader {
 // MaxFrameSize before the payload buffer is (re)sized, so a corrupt prefix
 // cannot trigger a huge allocation.
 func (fr *frameReader) readFrame() (op, flags byte, id uint32, payload []byte, err error) {
-	if _, err = io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+	var got int
+	if got, err = io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+		fr.torn = got > 0
 		return
 	}
+	fr.torn = true
 	n := binary.LittleEndian.Uint32(fr.hdr[0:4])
 	if n > MaxFrameSize {
 		err = fmt.Errorf("%w: %d byte payload (max %d)", ErrFrameTooLarge, n, MaxFrameSize)
@@ -143,7 +171,9 @@ func (fr *frameReader) readFrame() (op, flags byte, id uint32, payload []byte, e
 		fr.buf = make([]byte, n)
 	}
 	payload = fr.buf[:n]
-	_, err = io.ReadFull(fr.br, payload)
+	if _, err = io.ReadFull(fr.br, payload); err == nil {
+		fr.torn = false
+	}
 	return
 }
 

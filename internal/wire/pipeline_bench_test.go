@@ -16,7 +16,9 @@ import (
 
 // BenchmarkWireProtocol compares one connection's PK point lookups across
 // the three transports: gob (serial by construction), binary serial (codec
-// win only), and binary pipelined (codec + RTT overlap, window 32).
+// win only), and binary pipelined (codec + RTT overlap, window 32). The
+// binary variants report the client's write(2) calls per request as
+// writes/op: 1 when serial, a fraction when pipelined frames share writes.
 func BenchmarkWireProtocol(b *testing.B) {
 	srv := preparedBenchServer(b)
 	_, prepQ := preparedBenchQueries()
@@ -47,18 +49,21 @@ func BenchmarkWireProtocol(b *testing.B) {
 	b.Run("binary-exec", func(b *testing.B) {
 		c, st := dial(b, ProtocolBinary)
 		defer c.Close()
+		w0 := c.writes.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := st.Exec(sqltypes.NewInt(int64(nextBenchKey()))); err != nil {
 				b.Fatal(err)
 			}
 		}
+		reportWrites(b, c, w0)
 	})
 	b.Run("binary-pipelined", func(b *testing.B) {
 		c, st := dial(b, ProtocolBinary)
 		defer c.Close()
 		const win = 32
 		pend := make([]*Pending, 0, win)
+		w0 := c.writes.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if len(pend) == win {
@@ -78,7 +83,14 @@ func BenchmarkWireProtocol(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reportWrites(b, c, w0)
 	})
+}
+
+// reportWrites reports the client write(2) calls c made per op since its
+// counter read w0.
+func reportWrites(b *testing.B, c *Conn, w0 uint64) {
+	b.ReportMetric(float64(c.writes.Load()-w0)/float64(b.N), "writes/op")
 }
 
 // wireFleetThroughput runs `clients` concurrent connections, each executing

@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sqltypes"
@@ -511,7 +513,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader) {
 		fw := newFrameWriter(conn)
 		for of := range resps {
 			err := fw.writeFrame(opResult, 0, of.id, func(b []byte) []byte { return appendResponse(b, of.resp) })
-			if err == nil && len(resps) == 0 {
+			if err == nil && (len(resps) == 0 || len(fw.buf) >= maxRetainedBuf) {
 				err = fw.flush()
 			}
 			if err != nil {
@@ -613,9 +615,9 @@ type DriverConfig struct {
 
 // Conn is a client connection. On the gob transport calls are serialized
 // like a real driver connection (reqMu); on the binary transport many calls
-// may be in flight at once, matched to response frames by request id, with
-// the in-flight count bounded by the pipeline window. stateMu guards
-// liveness so the heartbeat can kill a connection while calls are blocked.
+// may be in flight at once, answered in wire order, with the in-flight count
+// bounded by the pipeline window. stateMu guards liveness so the heartbeat
+// can kill a connection while calls are blocked.
 type Conn struct {
 	cfg    DriverConfig
 	addr   string
@@ -627,17 +629,27 @@ type Conn struct {
 	dec   *gob.Decoder
 	enc   *messageConn
 
-	// binary transport. sendMu serializes frame writes; pendMu guards the
-	// pending map and read-deadline arming; window is the in-flight slot
-	// semaphore; readerDone closes when the read loop exits (after it has
-	// failed every pending call).
-	sendMu     sync.Mutex
-	fw         *frameWriter
-	pendMu     sync.Mutex
-	pending    map[uint32]chan *Response
-	nextID     uint32
+	// binary transport. Callers append frames to wbuf and register in the
+	// ring; one writer goroutine writes whatever wbuf holds in one
+	// write(2), and one reader goroutine answers the ring's head. mu
+	// guards wbuf, closing, the ring and the read deadline; window is the
+	// in-flight slot semaphore.
+	mu      sync.Mutex
+	wbuf    []byte
+	closing bool // Close queued reqClose: refuse further calls
+	// ring holds the response channels of sent-but-unanswered calls in
+	// wire order, at index id&mask; ids head..next-1 are in flight. The
+	// server answers each connection's requests in order, so a response
+	// whose id is not head's is a desync.
+	ring       []chan *Response
+	mask       uint32
+	head, next uint32
+	armedUntil time.Time // read deadline currently set (zero: none)
 	window     chan struct{}
-	readerDone chan struct{}
+	wake       chan struct{} // cap 1: wbuf has frames for the writer
+	readerDone chan struct{} // closed when the read loop exits
+	writerDone chan struct{} // closed when the write loop exits
+	writes     atomic.Uint64 // write(2) calls the writer made
 
 	stateMu sync.Mutex
 	dead    error
@@ -722,29 +734,76 @@ func dialBinary(addr string, cfg DriverConfig) (*Conn, error) {
 		nc.Close()
 		return nil, err
 	}
+	// The ring needs one slot per call that can be unanswered at once — at
+	// most the window — and a power-of-two size, so that id&mask stays
+	// collision-free across the uint32 wrap.
+	size := 1
+	for size < cfg.PipelineWindow {
+		size <<= 1
+	}
 	c := &Conn{
 		cfg:        cfg,
 		addr:       addr,
 		binary:     true,
 		conn:       nc,
-		fw:         newFrameWriter(nc),
-		pending:    make(map[uint32]chan *Response),
+		ring:       make([]chan *Response, size),
+		mask:       uint32(size - 1),
 		window:     make(chan struct{}, cfg.PipelineWindow),
+		wake:       make(chan struct{}, 1),
 		readerDone: make(chan struct{}),
+		writerDone: make(chan struct{}),
 	}
 	go c.readLoop()
+	go c.writeLoop()
 	return c.finishDial()
 }
 
-// readLoop is the binary transport's single reader: it dispatches response
-// frames to pending calls by request id and manages the read deadline (armed
-// while anything is in flight, cleared when the connection goes idle). On
-// exit it fails every pending call, so no waiter can hang on a dead conn.
+// respChans recycles the one-shot response channels of binary calls. Each
+// channel carries exactly one value per use — the response, or nil when the
+// connection died — and is returned only after that value was received.
+var respChans = sync.Pool{New: func() any { return make(chan *Response, 1) }}
+
+// armLocked moves the read deadline out to KeepAliveTimeout plus 1/16 of
+// slack when it would otherwise fire sooner than KeepAliveTimeout from now.
+// The slack bounds re-arming to once per KeepAliveTimeout/16, and the
+// deadline fires between 1 and 17/16 KeepAliveTimeout after the last
+// response (or the first call after idle), never sooner. Caller holds mu.
+func (c *Conn) armLocked() {
+	k := c.cfg.KeepAliveTimeout
+	now := time.Now()
+	if c.armedUntil.Before(now.Add(k)) {
+		c.armedUntil = now.Add(k + k/16)
+		_ = c.conn.SetReadDeadline(c.armedUntil)
+	}
+}
+
+// idleTimeout reports whether a read deadline that just fired can be
+// ignored: nothing was in flight (the deadline outlived the traffic that
+// armed it, so it is cleared), or a call arriving after idle has already
+// moved it out. Any other expiry is a dead peer.
+func (c *Conn) idleTimeout() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.head == c.next {
+		c.armedUntil = time.Time{}
+		_ = c.conn.SetReadDeadline(time.Time{})
+		return true
+	}
+	return c.armedUntil.After(time.Now())
+}
+
+// readLoop is the binary transport's single reader: it hands each response
+// frame to the ring's head and keeps the read deadline armed while anything
+// is in flight. On exit it fails every unanswered call, so no waiter can
+// hang on a dead conn.
 func (c *Conn) readLoop() {
 	fr := newFrameReader(c.conn)
 	for {
 		_, _, id, payload, err := fr.readFrame()
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) && !fr.torn && c.idleTimeout() {
+				continue
+			}
 			c.markDead(err)
 			break
 		}
@@ -753,106 +812,148 @@ func (c *Conn) readLoop() {
 			c.markDead(err)
 			break
 		}
-		c.pendMu.Lock()
-		ch, ok := c.pending[id]
-		delete(c.pending, id)
-		if len(c.pending) == 0 {
-			_ = c.conn.SetReadDeadline(time.Time{})
-		} else {
-			_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.KeepAliveTimeout))
-		}
-		c.pendMu.Unlock()
-		if !ok {
-			c.markDead(fmt.Errorf("%w: unmatched response id %d", ErrProtocolDesync, id))
+		c.mu.Lock()
+		if c.head == c.next || id != c.head {
+			want := c.head
+			inflight := c.next - c.head
+			c.mu.Unlock()
+			c.markDead(fmt.Errorf("%w: response id %d, want %d with %d in flight", ErrProtocolDesync, id, want, inflight))
 			break
 		}
+		slot := &c.ring[id&c.mask]
+		ch := *slot
+		*slot = nil
+		c.head++
+		if c.head != c.next {
+			c.armLocked()
+		}
+		c.mu.Unlock()
 		ch <- resp
 	}
-	// Closing readerDone BEFORE draining lets submitters distinguish the
-	// two orders: a call registered before the close is failed by the
-	// drain below; one that arrives after sees readerDone closed under
-	// pendMu and aborts without registering. No window for a lost waiter.
+	// Closing readerDone under mu orders it against submit: a call
+	// registered before it is failed by the drain below; one that comes
+	// after sees readerDone closed and never registers.
+	c.mu.Lock()
 	close(c.readerDone)
-	c.pendMu.Lock()
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		close(ch)
+	for ; c.head != c.next; c.head++ {
+		slot := &c.ring[c.head&c.mask]
+		*slot <- nil
+		*slot = nil
 	}
-	c.pendMu.Unlock()
+	c.mu.Unlock()
 }
 
-// pendingCall is one in-flight pipelined request; wait must be called
-// exactly once (it releases the window slot).
-type pendingCall struct {
-	c  *Conn
-	ch chan *Response
+// maxRetainedBuf caps the frame buffer a connection keeps between writes;
+// a rare huge frame's buffer is dropped instead of pinned.
+const maxRetainedBuf = 256 << 10
+
+// writeLoop is the binary transport's single writer: each wake-up takes
+// every frame appended since its last write and writes them in one call, so
+// a burst of pipelined requests shares one write(2). It exits after writing
+// the reqClose frame Close queued, or once the reader has exited.
+func (c *Conn) writeLoop() {
+	defer close(c.writerDone)
+	var out []byte
+	for {
+		select {
+		case <-c.wake:
+		case <-c.readerDone:
+			return
+		}
+		c.mu.Lock()
+		out, c.wbuf = c.wbuf, out[:0]
+		closing := c.closing
+		c.mu.Unlock()
+		if len(out) > 0 {
+			c.writes.Add(1)
+			if _, err := c.conn.Write(out); err != nil {
+				c.markDead(err)
+				return
+			}
+		}
+		if closing {
+			return
+		}
+		out = recycle(out)
+	}
 }
 
-// submit acquires a window slot, registers the call, and sends its frame.
-func (c *Conn) submit(kind int, req *request) (*pendingCall, error) {
+// submit acquires a window slot and queues the request for the writer.
+// The request is fully encoded when submit returns, so callers may reuse
+// its arguments.
+func (c *Conn) submit(kind int, req *request) (chan *Response, error) {
 	select {
 	case c.window <- struct{}{}:
 	case <-c.readerDone:
 		return nil, c.deadErr()
 	}
-	ch := make(chan *Response, 1)
-	c.pendMu.Lock()
-	select {
-	case <-c.readerDone:
-		c.pendMu.Unlock()
-		<-c.window
-		return nil, c.deadErr()
-	default:
-	}
-	id := c.nextID
-	c.nextID++
-	c.pending[id] = ch
-	// Arm the read deadline before the frame leaves: the read loop owns
-	// clearing it, and a response can't arrive before the send below.
-	_ = c.conn.SetReadDeadline(time.Now().Add(c.cfg.KeepAliveTimeout))
-	c.pendMu.Unlock()
-
-	c.sendMu.Lock()
-	err := c.fw.writeFrame(byte(kind), 0, id, func(b []byte) []byte { return appendRequest(b, req) })
-	if err == nil {
-		err = c.fw.flush()
-	}
-	c.sendMu.Unlock()
+	c.mu.Lock()
+	ch, wasEmpty, err := c.enqueueLocked(kind, req)
+	c.mu.Unlock()
 	if err != nil {
-		c.pendMu.Lock()
-		delete(c.pending, id)
-		if len(c.pending) == 0 {
-			_ = c.conn.SetReadDeadline(time.Time{})
-		}
-		c.pendMu.Unlock()
 		<-c.window
-		if errors.Is(err, ErrFrameTooLarge) {
-			// The size check fires before any byte is buffered, so the
-			// stream is still in sync: surface the typed error and keep
-			// the connection alive.
-			return nil, err
-		}
-		c.markDead(err)
-		return nil, c.deadErr()
+		return nil, err
 	}
-	return &pendingCall{c: c, ch: ch}, nil
+	if wasEmpty {
+		// The writer may be idle; a non-empty wbuf already has a wake-up
+		// pending.
+		c.kick()
+	}
+	return ch, nil
 }
 
-func (p *pendingCall) wait() (*Response, error) {
-	resp, ok := <-p.ch
-	<-p.c.window
-	if !ok {
-		return nil, p.c.deadErr()
+// enqueueLocked appends the request's frame to wbuf and registers the call
+// at the ring's tail. wasEmpty reports whether wbuf held no frames before.
+// Caller holds mu.
+func (c *Conn) enqueueLocked(kind int, req *request) (ch chan *Response, wasEmpty bool, err error) {
+	select {
+	case <-c.readerDone:
+		return nil, false, c.deadErr()
+	default:
+	}
+	if c.closing {
+		return nil, false, ErrConnDead
+	}
+	wasEmpty = len(c.wbuf) == 0
+	if c.wbuf, err = appendFrame(c.wbuf, byte(kind), 0, c.next, func(b []byte) []byte { return appendRequest(b, req) }); err != nil {
+		// The size check fires before the frame is kept, so the stream is
+		// still in sync: surface the typed error and keep the connection.
+		return nil, false, err
+	}
+	if c.head == c.next {
+		c.armLocked()
+	}
+	ch = respChans.Get().(chan *Response)
+	c.ring[c.next&c.mask] = ch
+	c.next++
+	return ch, wasEmpty, nil
+}
+
+// kick wakes the writer goroutine.
+func (c *Conn) kick() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// await receives a submitted call's response and releases its window slot.
+func (c *Conn) await(ch chan *Response) (*Response, error) {
+	resp := <-ch
+	respChans.Put(ch)
+	<-c.window
+	if resp == nil {
+		return nil, c.deadErr()
 	}
 	return resp, nil
 }
 
 func (c *Conn) callBinary(kind int, req *request) (*Response, error) {
-	p, err := c.submit(kind, req)
+	ch, err := c.submit(kind, req)
 	if err != nil {
 		return nil, err
 	}
-	return p.wait()
+	return c.await(ch)
 }
 
 // Addr returns the server address this connection targets.
@@ -946,17 +1047,18 @@ func (c *Conn) roundTrip(req request) (*Response, error) {
 // once; until then the request occupies one slot of the connection's
 // pipeline window.
 type Pending struct {
-	p    *pendingCall
-	resp *Response // pre-resolved result on the non-pipelining gob path
+	c    *Conn
+	ch   chan *Response // binary: the call's response channel until Wait
+	resp *Response      // pre-resolved result on the non-pipelining gob path
 	err  error
 }
 
 // Wait blocks for the response. Statement errors surface exactly like
 // Exec's: the Response carries them and the error is typed.
 func (p *Pending) Wait() (*Response, error) {
-	if p.p != nil {
-		resp, err := p.p.wait()
-		p.p = nil
+	if p.ch != nil {
+		resp, err := p.c.await(p.ch)
+		p.ch = nil
 		if err != nil {
 			return nil, err
 		}
@@ -965,10 +1067,7 @@ func (p *Pending) Wait() (*Response, error) {
 		}
 		return resp, nil
 	}
-	if p.err != nil {
-		return p.resp, p.err
-	}
-	return p.resp, nil
+	return p.resp, p.err
 }
 
 // ExecAsync submits a statement without waiting for its result, pipelining
@@ -985,11 +1084,11 @@ func (s *Stmt) ExecAsync(args ...sqltypes.Value) (*Pending, error) {
 
 func (c *Conn) execAsync(req request) (*Pending, error) {
 	if c.binary {
-		p, err := c.submit(req.Kind, &req)
+		ch, err := c.submit(req.Kind, &req)
 		if err != nil {
 			return nil, err
 		}
-		return &Pending{p: p}, nil
+		return &Pending{c: c, ch: ch}, nil
 	}
 	resp, err := c.roundTrip(req)
 	if err != nil {
@@ -1020,35 +1119,58 @@ func (c *Conn) markDead(cause error) {
 	}
 }
 
-// Close terminates the connection.
+// Close terminates the connection: it tells the server with a reqClose
+// frame (best effort, bounded by 100 ms), then closes the socket and, on the
+// binary transport, waits for the reader and writer goroutines to exit.
 func (c *Conn) Close() {
 	c.hbOnce.Do(func() {
 		if c.hbStop != nil {
 			close(c.hbStop)
 		}
 	})
-	c.stateMu.Lock()
-	if c.dead == nil {
-		_ = c.conn.SetDeadline(time.Now().Add(100 * time.Millisecond))
-		if c.binary {
-			c.stateMu.Unlock()
-			c.sendMu.Lock()
-			_ = c.fw.writeFrame(byte(reqClose), 0, 0, func(b []byte) []byte { return b })
-			_ = c.fw.flush()
-			c.sendMu.Unlock()
-			c.stateMu.Lock()
-		} else {
-			_ = c.enc.send(&request{Kind: reqClose})
-		}
+	if c.binary {
+		c.closeBinary()
+	} else {
+		c.stateMu.Lock()
 		if c.dead == nil {
+			_ = c.conn.SetDeadline(time.Now().Add(100 * time.Millisecond))
+			_ = c.enc.send(&request{Kind: reqClose})
 			c.dead = ErrConnDead
 		}
+		c.stateMu.Unlock()
+		c.conn.Close()
 	}
-	c.stateMu.Unlock()
-	c.conn.Close()
 	if c.hbConn != nil {
 		c.hbConn.Close()
 	}
+}
+
+func (c *Conn) closeBinary() {
+	c.stateMu.Lock()
+	alive := c.dead == nil
+	c.stateMu.Unlock()
+	c.mu.Lock()
+	queued := alive && !c.closing
+	if queued {
+		// Say goodbye: the writer writes this frame after whatever is
+		// queued, then exits.
+		c.wbuf, _ = appendFrame(c.wbuf, byte(reqClose), 0, 0, nil)
+	}
+	c.closing = true
+	c.mu.Unlock()
+	if queued {
+		_ = c.conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+		c.kick()
+		<-c.writerDone
+	}
+	c.stateMu.Lock()
+	if c.dead == nil {
+		c.dead = ErrConnDead
+	}
+	c.stateMu.Unlock()
+	c.conn.Close()
+	<-c.writerDone
+	<-c.readerDone
 }
 
 // startHeartbeat opens a dedicated heartbeat connection and monitors it.
