@@ -236,6 +236,30 @@ func TestSerializableTableLocking(t *testing.T) {
 	mustExec(t, s2, "COMMIT")
 }
 
+// TestSerializableReadsAtFirstLock: a serializable transaction that began
+// while another held the table's exclusive lock must read that writer's
+// committed value once it gets its own lock, not the version its BEGIN saw
+// — otherwise its read-modify-write silently overwrites the writer's
+// update (a lost update, which table-level 2PL exists to forbid).
+func TestSerializableReadsAtFirstLock(t *testing.T) {
+	e, s := newTestDB(t, Config{})
+	mustExec(t, s, "INSERT INTO items (name, stock) VALUES ('a', 1)")
+	s1 := e.NewSession("t1")
+	s2 := e.NewSession("t2")
+	for _, ss := range []*Session{s1, s2} {
+		mustExec(t, ss, "USE shop")
+		mustExec(t, ss, "SET ISOLATION LEVEL SERIALIZABLE")
+	}
+	mustExec(t, s1, "BEGIN")
+	mustExec(t, s1, "UPDATE items SET stock = 2")
+	mustExec(t, s2, "BEGIN")
+	mustExec(t, s1, "COMMIT")
+	if got := queryInt(t, s2, "SELECT stock FROM items"); got != 2 {
+		t.Fatalf("read stock = %d, want the committed 2", got)
+	}
+	mustExec(t, s2, "COMMIT")
+}
+
 func TestErrorPoisonsTxnOnPostgresProfile(t *testing.T) {
 	_, s := newTestDB(t, Config{Profile: ProfilePostgres})
 	mustExec(t, s, "BEGIN")

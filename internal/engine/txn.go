@@ -242,7 +242,7 @@ func (e *Engine) lockTable(tx *Txn, t *Table, exclusive bool) error {
 				(len(t.tlockReaders) == 0 || (len(t.tlockReaders) == 1 && t.tlockReaders[tx.id])) {
 				if t.tlockOwner != tx.id {
 					t.tlockOwner = tx.id
-					tx.tableLocks = append(tx.tableLocks, heldTableLock{t: t, exclusive: true})
+					tx.addTableLock(heldTableLock{t: t, exclusive: true}, e.clock)
 				}
 				return nil
 			}
@@ -250,7 +250,7 @@ func (e *Engine) lockTable(tx *Txn, t *Table, exclusive bool) error {
 			if t.tlockOwner == 0 || t.tlockOwner == tx.id {
 				if !t.tlockReaders[tx.id] {
 					t.tlockReaders[tx.id] = true
-					tx.tableLocks = append(tx.tableLocks, heldTableLock{t: t, exclusive: false})
+					tx.addTableLock(heldTableLock{t: t, exclusive: false}, e.clock)
 				}
 				return nil
 			}
@@ -269,6 +269,19 @@ func (e *Engine) lockTable(tx *Txn, t *Table, exclusive bool) error {
 		e.lockWait.Wait()
 		close(waitDone)
 	}
+}
+
+// addTableLock records a table lock granted to tx at engine clock now. The
+// first one also starts tx's snapshot: under 2PL a read must not predate
+// the lock that protects it. With the snapshot taken at BEGIN, a
+// transaction that waited out a writer's exclusive lock read the version
+// that writer had just replaced, and its own write then overwrote the
+// writer's (a lost update).
+func (tx *Txn) addTableLock(hl heldTableLock, now uint64) {
+	if len(tx.tableLocks) == 0 {
+		tx.snapTS = now
+	}
+	tx.tableLocks = append(tx.tableLocks, hl)
 }
 
 // releaseLocksLocked drops all locks held by tx. Caller holds e.mu
